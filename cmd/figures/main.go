@@ -164,13 +164,14 @@ func renderPair(pair [2]compilegate.SweepResult) {
 	renderNodes(th)
 }
 
-// renderNodes prints the per-node breakdown of a cluster run (no output
-// for single-server results): the routing distribution, the router's
-// health actions (rerouted / failover / all-excluded counters), and —
-// when breakers are armed — each node's final breaker state, trip
-// count, and state-transition trail in virtual-time order.
+// renderNodes prints the per-node breakdown of a multi-node run (no
+// output for 1-node runs, whose one entry repeats the totals): the
+// routing distribution, the router's health actions (rerouted /
+// failover / all-excluded counters), and — when breakers are armed —
+// each node's final breaker state, trip count, and state-transition
+// trail in virtual-time order.
 func renderNodes(r *compilegate.BenchmarkResult) {
-	if len(r.NodeResults) == 0 {
+	if len(r.NodeResults) < 2 {
 		return
 	}
 	breakers := r.NodeResults[0].BreakerState != ""

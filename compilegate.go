@@ -102,8 +102,8 @@ type (
 	BenchmarkOptions = harness.Options
 	// BenchmarkResult carries one run's measurements.
 	BenchmarkResult = harness.Result
-	// NodeResult is one cluster node's share of a multi-node run
-	// (BenchmarkResult.NodeResults, nil for single-server runs).
+	// NodeResult is one node's share of a run
+	// (BenchmarkResult.NodeResults; a 1-node run has one entry).
 	NodeResult = harness.NodeResult
 
 	// RouterPolicy selects how a cluster run routes statements to its

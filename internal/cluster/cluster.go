@@ -10,8 +10,8 @@
 // observed errclass failures and re-admits a recovering node through
 // half-open probes, and failover resubmission retries a crashed
 // response on the next healthy node within a bounded hop budget. All
-// three mechanisms are off by default; New preserves the classic
-// dispatcher exactly.
+// three mechanisms are off by default: a zero Config beyond its Policy
+// is the classic dispatcher.
 //
 // Determinism is by construction: the node list is fixed at router
 // construction, every routing decision is a pure function of the
@@ -163,12 +163,6 @@ type Router struct {
 	resubmitted uint64   // failover resubmissions after a crashed response
 	allExcluded uint64   // submissions forced onto an excluded fleet
 	breakers    []*breaker
-}
-
-// New builds a classic router (no health exclusion, breakers, or
-// failover) over the nodes in the given (fixed) order.
-func New(policy Policy, nodes []Node) (*Router, error) {
-	return NewRouter(Config{Policy: policy}, nodes)
 }
 
 // NewRouter builds a router from a full config over the nodes in the

@@ -54,17 +54,17 @@ func TestPolicyValidation(t *testing.T) {
 	if Policy("").String() != "round-robin" {
 		t.Errorf("empty policy renders %q, want round-robin", Policy("").String())
 	}
-	if _, err := New("bogus", []Node{&fakeNode{}}); err == nil {
+	if _, err := NewRouter(Config{Policy: "bogus"}, []Node{&fakeNode{}}); err == nil {
 		t.Error("router accepted an unknown policy")
 	}
-	if _, err := New(RoundRobin, nil); err == nil {
+	if _, err := NewRouter(Config{Policy: RoundRobin}, nil); err == nil {
 		t.Error("router accepted an empty fleet")
 	}
 }
 
 func TestRoundRobinCyclesAndSkipsDownNodes(t *testing.T) {
 	fakes, nodes := fleet(3)
-	r, err := New(RoundRobin, nodes)
+	r, err := NewRouter(Config{Policy: RoundRobin}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRoundRobinAllDownFallsBack(t *testing.T) {
 		f.down = true
 		f.err = errors.New("crashed")
 	}
-	r, _ := New(RoundRobin, nodes)
+	r, _ := NewRouter(Config{Policy: RoundRobin}, nodes)
 	if err := r.Submit(nil, "q"); err == nil {
 		t.Fatal("submission to an all-down fleet should surface the node error")
 	}
@@ -114,7 +114,7 @@ func TestRoundRobinAllDownFallsBack(t *testing.T) {
 func TestLeastLoadedPicksArgminWithStableTies(t *testing.T) {
 	fakes, nodes := fleet(3)
 	fakes[0].active, fakes[1].active, fakes[2].active = 4, 1, 1
-	r, _ := New(LeastLoaded, nodes)
+	r, _ := NewRouter(Config{Policy: LeastLoaded}, nodes)
 	r.Submit(nil, "q")
 	if len(fakes[1].submitted) != 1 {
 		t.Fatal("least-loaded must break ties to the lowest index")
@@ -134,7 +134,7 @@ func TestLeastLoadedPicksArgminWithStableTies(t *testing.T) {
 
 func TestAffinityPinsStatementsToHomes(t *testing.T) {
 	fakes, nodes := fleet(4)
-	r, _ := New(Affinity, nodes)
+	r, _ := NewRouter(Config{Policy: Affinity}, nodes)
 	stmts := []string{
 		"SELECT * FROM dim_customer WHERE dim_customer.customer_id = 1",
 		"SELECT * FROM dim_product WHERE dim_product.product_id = 37",
@@ -204,7 +204,7 @@ func TestAllExcludedFallbackIsPolicyFirstChoice(t *testing.T) {
 				f.err = errors.New("crashed")
 				f.active = tc.active[i]
 			}
-			r, err := New(tc.policy, nodes)
+			r, err := NewRouter(Config{Policy: tc.policy}, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +394,7 @@ func TestRouterConfigValidation(t *testing.T) {
 
 func TestRoutedCountersAndReport(t *testing.T) {
 	_, nodes := fleet(2)
-	r, _ := New(RoundRobin, nodes)
+	r, _ := NewRouter(Config{Policy: RoundRobin}, nodes)
 	for i := 0; i < 5; i++ {
 		r.Submit(nil, "q")
 	}

@@ -63,9 +63,9 @@ func (k Kind) String() string {
 // virtual-time axis; the remaining fields are kind-specific.
 type Injection struct {
 	Kind Kind
-	// Node targets one engine instance of a cluster run (0, the
-	// default, is the first node — and the only one in a single-server
-	// run). The harness validates Node against the run's node count.
+	// Node targets one engine instance of the run (0, the default, is
+	// the first node — and the only one in a 1-node run). The harness
+	// validates Node against the run's node count.
 	Node int
 	// At is the onset virtual time.
 	At time.Duration
@@ -202,8 +202,8 @@ func (p *Plan) MaxNode() int {
 }
 
 // String renders the injected schedule, one line per injection — the
-// cmd/figures -faultplan dump. Node is printed only when targeted
-// explicitly, so single-server schedules render as before.
+// cmd/figures -faultplan dump. Node is printed only when it is not 0,
+// so plans for 1-node runs carry no node column.
 func (p *Plan) String() string {
 	if p.Empty() {
 		return "fault plan: empty\n"
@@ -282,18 +282,12 @@ type Stats struct {
 const defaultLeakInterval = 10 * time.Second
 
 // Inject schedules the plan's injections on sched as ordinary tasks and
-// returns the stats structure they fill in. The plan must be valid and
-// single-node (every injection targeting node 0).
-func Inject(sched *vtime.Scheduler, p Plan, s Surface) *Stats {
-	return InjectCluster(sched, p, []Surface{s})
-}
-
-// InjectCluster is Inject over a fleet: injection i drives
+// returns the stats structure they fill in. Injection i drives
 // surfaces[p.Injections[i].Node], so a plan can stall one node's disk
 // while storming another. The caller must validate the plan and ensure
 // every targeted node index is in range (the harness checks MaxNode
 // against the node count); out-of-range targets panic.
-func InjectCluster(sched *vtime.Scheduler, p Plan, surfaces []Surface) *Stats {
+func Inject(sched *vtime.Scheduler, p Plan, surfaces []Surface) *Stats {
 	st := &Stats{}
 	for i := range p.Injections {
 		in := p.Injections[i]

@@ -2,98 +2,19 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"compilegate/internal/cluster"
 	"compilegate/internal/engine"
-	"compilegate/internal/fault"
 	"compilegate/internal/metrics"
-	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
 )
 
-// runCluster executes a multi-node configuration: o.Nodes independent
-// engine instances built in fixed order on one scheduler, sharing one
-// immutable snapshot, fronted by the routing policy in o.Router. The
-// client population submits through the router; the fault plane drives
-// per-node surfaces. Determinism matches the single-server path: node
-// order is fixed at construction, every router decision is a pure
-// function of the statement text and per-node counters, and all tasks
-// live on the run's single event loop.
-func runCluster(sched *vtime.Scheduler, o Options, ecfg engine.Config, snap *Snapshot, lcfg workload.LoadConfig) (*Result, error) {
-	nodes := make([]*engine.Server, o.Nodes)
-	routed := make([]cluster.Node, o.Nodes)
-	for i := range nodes {
-		srv, err := engine.NewShared(ecfg, snap.Catalog, snap.prebuilt(), sched)
-		if err != nil {
-			return nil, fmt.Errorf("harness: node %d: %w", i, err)
-		}
-		nodes[i] = srv
-		routed[i] = srv
-	}
-	rcfg := cluster.Config{Policy: o.Router, FailoverHops: o.FailoverHops}
-	if o.Health != nil {
-		rcfg.Health = *o.Health
-	}
-	if o.Breaker != nil {
-		rcfg.Breaker = *o.Breaker
-	}
-	router, err := cluster.NewRouter(rcfg, routed)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-
-	gen := o.Workload.Generator()
-	closeAll := func() {
-		for _, srv := range nodes {
-			srv.Close()
-		}
-	}
-	loadStats := workload.Run(sched, router, gen, lcfg, closeAll)
-
-	// As in the single-server path, fault tasks spawn after the client
-	// population so the event schedule is a pure function of the options.
-	injecting := o.Fault != nil && !o.Fault.Empty()
-	var faultStats *fault.Stats
-	if injecting {
-		heavy := heavyFor(gen)
-		stormRNG := rand.New(rand.NewSource(o.Fault.Seed))
-		surfaces := make([]fault.Surface, len(nodes))
-		for i, srv := range nodes {
-			surfaces[i] = surfaceFor(srv, heavy, stormRNG)
-		}
-		faultStats = fault.InjectCluster(sched, *o.Fault, surfaces)
-	}
-
-	if err := sched.Run(); err != nil {
-		return nil, fmt.Errorf("harness: simulation error: %w", err)
-	}
-	for i, srv := range nodes {
-		if err := srv.CheckInvariants(); err != nil {
-			return nil, fmt.Errorf("harness: node %d: post-run invariant violation: %w", i, err)
-		}
-	}
-
-	res := aggregateCluster(o, nodes, router, loadStats)
-	res.SimEvents = sched.Events()
-	if faultStats != nil {
-		res.Fault = faultStats
-		series := make([][]metrics.Point, len(nodes))
-		for i, srv := range nodes {
-			series[i] = srv.Recorder().CompletionSeries(0, o.Horizon)
-		}
-		measureRecovery(res, metrics.SumSeries(series...), nodes[0].Recorder().SliceDur(), o)
-	}
-	return res, nil
-}
-
-// aggregateCluster folds per-node measurements into one cluster-level
-// Result plus the per-node breakdown. Counters sum; rates pool
-// (Σhits / Σaccesses); latency quantiles come from merged histograms;
-// the overcommit ratio averages across nodes (each node is a whole
-// machine).
-func aggregateCluster(o Options, nodes []*engine.Server, router *cluster.Router, loadStats *workload.LoadStats) *Result {
+// aggregate folds per-node measurements into one run-level Result plus
+// the per-node breakdown. Counters sum; rates pool (Σhits / Σaccesses);
+// latency quantiles come from merged histograms; the overcommit ratio
+// averages across nodes (each node is a whole machine).
+func aggregate(o Options, nodes []*engine.Server, router *cluster.Router, loadStats *workload.LoadStats) *Result {
 	res := &Result{
 		Options:           o,
 		ErrorsByKind:      make(map[string]int64),

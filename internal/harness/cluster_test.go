@@ -232,3 +232,30 @@ func TestMeasureRecoverySkipsPartialFinalSlice(t *testing.T) {
 		t.Fatalf("recovery time = %v, want 30m", res.RecoveryTime)
 	}
 }
+
+func TestSingleServerIsOneNodeCluster(t *testing.T) {
+	o := quickOpts(8)
+	zero, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Nodes = 1
+	one, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Options.Nodes = zero.Options.Nodes
+	if !reflect.DeepEqual(zero, one) {
+		t.Fatalf("Nodes 0 and 1 diverge:\n%+v\n%+v", zero, one)
+	}
+	if len(zero.NodeResults) != 1 {
+		t.Fatalf("node results = %d, want 1", len(zero.NodeResults))
+	}
+	nr := zero.NodeResults[0]
+	if nr.Completed != zero.Completed {
+		t.Fatalf("node completed %d != run completed %d", nr.Completed, zero.Completed)
+	}
+	if want := uint64(zero.Load.Submitted + zero.Load.Retries); nr.Routed != want {
+		t.Fatalf("routed %d != submissions+retries %d", nr.Routed, want)
+	}
+}

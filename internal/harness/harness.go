@@ -1,8 +1,8 @@
 // Package harness runs complete benchmark configurations — the virtual
-// equivalent of the paper's test lab. One Run builds a scheduler, a
-// simulated server over the chosen catalog, and a closed-loop client
-// population, executes the whole run in virtual time, and reports the
-// same measurements the paper's figures plot.
+// equivalent of the paper's test lab. One Run builds a scheduler, one or
+// more simulated servers over the chosen catalog behind a router, and a
+// closed-loop client population, executes the whole run in virtual
+// time, and reports the same measurements the paper's figures plot.
 package harness
 
 import (
@@ -55,25 +55,24 @@ type Options struct {
 	// produce byte-identical results with shared, private, or absent
 	// snapshots; the field exists for tests proving exactly that.
 	Snapshot *Snapshot
-	// Nodes runs the experiment as a cluster: that many independent
-	// engine instances (each with its own budget, governor, plan cache,
-	// and buffer pool) share one scheduler and one snapshot behind a
-	// deterministic router. 0 and 1 both mean the classic single-server
-	// run.
+	// Nodes is how many independent engine instances (each with its
+	// own budget, governor, plan cache, and buffer pool) share one
+	// scheduler and one snapshot behind a deterministic router. 0 means
+	// 1: the paper's single server is a 1-node cluster.
 	Nodes int
-	// Router picks the cluster routing policy (zero value:
-	// round-robin). Ignored when Nodes <= 1.
+	// Router picks the routing policy (zero value: round-robin). With
+	// one node every policy routes everything to it.
 	Router cluster.Policy
 	// Health, when non-nil, turns on health-aware node exclusion in the
 	// cluster router: nodes past the overcommit/thrash thresholds are
-	// skipped like crashed ones. Cluster runs only.
+	// skipped like crashed ones. Requires Nodes > 1.
 	Health *cluster.HealthConfig
 	// Breaker, when non-nil, arms a per-node circuit breaker in the
 	// cluster router, driven by the errclass outcomes of routed
-	// submissions. Cluster runs only.
+	// submissions. Requires Nodes > 1.
 	Breaker *cluster.BreakerConfig
 	// FailoverHops bounds router-level failover resubmission on
-	// crashed responses (0 disables it). Cluster runs only.
+	// crashed responses (0 disables it). Requires Nodes > 1.
 	FailoverHops int
 }
 
@@ -106,18 +105,17 @@ type Result struct {
 	Load workload.LoadStats
 	// CompileMemMean/Max profile per-query compile memory.
 	CompileMemMean, CompileMemMax int64
-	// BufferPoolHitRate is the end-of-run hit rate (cluster runs:
-	// pooled over nodes as Σhits / Σ(hits+misses)).
+	// BufferPoolHitRate is the end-of-run hit rate, pooled over nodes
+	// as Σhits / Σ(hits+misses).
 	BufferPoolHitRate float64
 	// PlanCacheHitRate is the end-of-run plan-cache hit rate, pooled
-	// the same way for cluster runs — the fingerprint-affinity routing
-	// claim reads this.
+	// the same way — the fingerprint-affinity routing claim reads this.
 	PlanCacheHitRate float64
 	// GatewayTimeouts / BestEffortPlans count throttling outcomes.
 	GatewayTimeouts uint64
 	BestEffortPlans uint64
 	// BrownoutEntries / BrownoutTicks are the governor's brown-out
-	// telemetry (summed across nodes on cluster runs): how many times
+	// telemetry (summed across nodes): how many times
 	// sustained pressure escalated admission to best-effort-only, and
 	// for how many broker ticks in total.
 	BrownoutEntries uint64
@@ -126,7 +124,8 @@ type Result struct {
 	// submissions steered away from their policy's first choice, and
 	// failover resubmissions after crashed responses. RouterAllExcluded
 	// counts submissions that found every node excluded and went to the
-	// policy's first choice anyway. All zero for single-server runs.
+	// policy's first choice anyway; on a 1-node run that is every
+	// submission made while the node was down.
 	Rerouted          uint64
 	Resubmitted       uint64
 	RouterAllExcluded uint64
@@ -156,11 +155,11 @@ type Result struct {
 	// of the first recovered slice — the graceful-degradation metric.
 	Recovered    bool
 	RecoveryTime time.Duration
-	// Report is the engine's diagnostic dump (cluster runs: the router
-	// distribution followed by every node's dump).
+	// Report is the diagnostic dump: the router distribution followed
+	// by every node's engine dump.
 	Report string
-	// NodeResults is the per-node breakdown of a cluster run, in node
-	// order; nil for single-server runs.
+	// NodeResults is the per-node breakdown of the run, in node order;
+	// a 1-node run has one entry.
 	NodeResults []NodeResult
 }
 
@@ -225,50 +224,78 @@ func Run(o Options) (*Result, error) {
 	return RunOn(nil, o)
 }
 
-// RunOn is Run on a caller-supplied scheduler, which must be idle (nil
-// builds a private one). Sweep shards pass their pooled scheduler here
-// so back-to-back runs reuse its run queue, timer wheel, and task slab;
-// results are bit-identical either way.
-func RunOn(sched *vtime.Scheduler, o Options) (*Result, error) {
-	if o.Clients <= 0 {
-		return nil, fmt.Errorf("harness: no clients")
-	}
-	if !o.Workload.Valid() {
-		return nil, fmt.Errorf("harness: unknown workload %q", string(o.Workload))
-	}
+// withDefaults fills in the zero Scale and Horizon that RunOn accepts.
+func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 0.04
 	}
 	if o.Horizon <= 0 {
 		o.Horizon = 2 * time.Hour
 	}
+	return o
+}
+
+// Validate reports whether the options describe a runnable
+// configuration. Zero Scale and Horizon are valid: RunOn replaces them
+// with its defaults before the run.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	if o.Clients <= 0 {
+		return fmt.Errorf("harness: no clients")
+	}
+	if !o.Workload.Valid() {
+		return fmt.Errorf("harness: unknown workload %q", string(o.Workload))
+	}
 	if o.Warmup >= o.Horizon {
-		return nil, fmt.Errorf("harness: warmup %v >= horizon %v", o.Warmup, o.Horizon)
+		return fmt.Errorf("harness: warmup %v >= horizon %v", o.Warmup, o.Horizon)
 	}
-	injecting := o.Fault != nil && !o.Fault.Empty()
-	if injecting {
-		if err := o.Fault.Validate(); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-		if lc := o.Fault.LastClear(); lc > o.Horizon {
-			return nil, fmt.Errorf("harness: fault plan clears at %v, past horizon %v", lc, o.Horizon)
-		}
-		nodes := o.Nodes
-		if nodes < 1 {
-			nodes = 1
-		}
-		if mx := o.Fault.MaxNode(); mx >= nodes {
-			return nil, fmt.Errorf("harness: fault plan targets node %d of a %d-node run", mx, nodes)
-		}
+	if o.Nodes < 0 {
+		return fmt.Errorf("harness: nodes = %d", o.Nodes)
 	}
-	if o.Nodes > 1 && !o.Router.Valid() {
-		return nil, fmt.Errorf("harness: unknown router policy %q", string(o.Router))
+	if !o.Router.Valid() {
+		return fmt.Errorf("harness: unknown router policy %q", string(o.Router))
 	}
 	if o.Nodes <= 1 && (o.Health != nil || o.Breaker != nil || o.FailoverHops != 0) {
-		return nil, fmt.Errorf("harness: router health/breaker/failover options require a cluster run (nodes = %d)", o.Nodes)
+		return fmt.Errorf("harness: router health/breaker/failover options need more than one node (nodes = %d)", o.Nodes)
 	}
 	if o.FailoverHops < 0 {
-		return nil, fmt.Errorf("harness: negative failover hops %d", o.FailoverHops)
+		return fmt.Errorf("harness: negative failover hops %d", o.FailoverHops)
+	}
+	if o.Fault != nil && !o.Fault.Empty() {
+		if err := o.Fault.Validate(); err != nil {
+			return fmt.Errorf("harness: %w", err)
+		}
+		if lc := o.Fault.LastClear(); lc > o.Horizon {
+			return fmt.Errorf("harness: fault plan clears at %v, past horizon %v", lc, o.Horizon)
+		}
+		if mx, nodes := o.Fault.MaxNode(), max(o.Nodes, 1); mx >= nodes {
+			return fmt.Errorf("harness: fault plan targets node %d of a %d-node run", mx, nodes)
+		}
+	}
+	if snap := o.Snapshot; snap != nil && (snap.Workload.String() != o.Workload.String() || snap.Scale != o.Scale) {
+		return fmt.Errorf("harness: snapshot shape %s/%g does not match options %s/%g",
+			snap.Workload, snap.Scale, o.Workload, o.Scale)
+	}
+	return nil
+}
+
+// RunOn is Run on a caller-supplied scheduler, which must be idle (nil
+// builds a private one). Sweep shards pass their pooled scheduler here
+// so back-to-back runs reuse its run queue, timer wheel, and task slab;
+// results are bit-identical either way.
+//
+// A run is max(o.Nodes, 1) independent engine instances built in fixed
+// order on one scheduler, sharing one immutable snapshot, fronted by the
+// routing policy in o.Router; the paper's single server is the 1-node
+// case. The client population submits through the router; the fault
+// plane drives per-node surfaces. The run is deterministic: node order
+// is fixed at construction, every router decision is a pure function of
+// the statement text and per-node counters, and all tasks live on the
+// run's single event loop.
+func RunOn(sched *vtime.Scheduler, o Options) (*Result, error) {
+	o = o.withDefaults()
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 
 	var ecfg engine.Config
@@ -286,9 +313,6 @@ func RunOn(sched *vtime.Scheduler, o Options) (*Result, error) {
 	snap := o.Snapshot
 	if snap == nil {
 		snap = SnapshotFor(o.Workload, o.Scale)
-	} else if snap.Workload.String() != o.Workload.String() || snap.Scale != o.Scale {
-		return nil, fmt.Errorf("harness: snapshot shape %s/%g does not match options %s/%g",
-			snap.Workload, snap.Scale, o.Workload, o.Scale)
 	}
 
 	if sched == nil {
@@ -305,108 +329,101 @@ func RunOn(sched *vtime.Scheduler, o Options) (*Result, error) {
 	lcfg.Horizon = o.Horizon
 	lcfg.Seed = o.Seed
 
-	if o.Nodes > 1 {
-		return runCluster(sched, o, ecfg, snap, lcfg)
+	nodes := make([]*engine.Server, max(o.Nodes, 1))
+	routed := make([]cluster.Node, len(nodes))
+	for i := range nodes {
+		srv, err := engine.NewShared(ecfg, snap.Catalog, snap.prebuilt(), sched)
+		if err != nil {
+			return nil, fmt.Errorf("harness: node %d: %w", i, err)
+		}
+		nodes[i] = srv
+		routed[i] = srv
 	}
-
-	srv, err := engine.NewShared(ecfg, snap.Catalog, snap.prebuilt(), sched)
+	rcfg := cluster.Config{Policy: o.Router, FailoverHops: o.FailoverHops}
+	if o.Health != nil {
+		rcfg.Health = *o.Health
+	}
+	if o.Breaker != nil {
+		rcfg.Breaker = *o.Breaker
+	}
+	router, err := cluster.NewRouter(rcfg, routed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: %w", err)
 	}
 
 	gen := o.Workload.Generator()
-	loadStats := workload.Run(sched, srv, gen, lcfg, srv.Close)
+	closeAll := func() {
+		for _, srv := range nodes {
+			srv.Close()
+		}
+	}
+	loadStats := workload.Run(sched, router, gen, lcfg, closeAll)
 
-	// The fault plane spawns after the client population so task creation
-	// order — and with it the whole event schedule — is a pure function
-	// of the options.
+	// Fault tasks spawn after the client population so task creation
+	// order, and with it the whole event schedule, is a pure function of
+	// the options.
 	var faultStats *fault.Stats
-	if injecting {
-		heavy := heavyFor(gen)
+	if o.Fault != nil && !o.Fault.Empty() {
+		// Storm queries draw the generator's heavy templates when it has
+		// them and go to the targeted node directly, not through the
+		// router.
+		heavy := gen.Next
+		if hg, ok := gen.(interface{ NextHeavy(*rand.Rand) string }); ok {
+			heavy = hg.NextHeavy
+		}
 		stormRNG := rand.New(rand.NewSource(o.Fault.Seed))
-		faultStats = fault.Inject(sched, *o.Fault, surfaceFor(srv, heavy, stormRNG))
+		surfaces := make([]fault.Surface, len(nodes))
+		for i, srv := range nodes {
+			surfaces[i] = fault.Surface{
+				SetDiskStall: srv.SetDiskFault,
+				Leak:         srv.LeakBallast,
+				DropLeak:     srv.DropBallast,
+				Crash:        srv.Crash,
+				Restart:      srv.Restart,
+				StormQuery: func(t *vtime.Task) error {
+					return srv.Submit(t, heavy(stormRNG))
+				},
+			}
+		}
+		faultStats = fault.Inject(sched, *o.Fault, surfaces)
 	}
 
 	if err := sched.Run(); err != nil {
 		return nil, fmt.Errorf("harness: simulation error: %w", err)
 	}
-	if err := srv.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("harness: post-run invariant violation: %w", err)
+	for i, srv := range nodes {
+		if err := srv.CheckInvariants(); err != nil {
+			return nil, fmt.Errorf("harness: node %d: post-run invariant violation: %w", i, err)
+		}
+	}
+	// Every client submission, client retry and router failover is
+	// forwarded to exactly one node.
+	var forwarded uint64
+	for i := range nodes {
+		forwarded += router.Routed(i)
+	}
+	if want := uint64(loadStats.Submitted+loadStats.Retries) + router.Resubmitted(); forwarded != want {
+		return nil, fmt.Errorf("harness: router forwarded %d submissions, clients and failover made %d", forwarded, want)
 	}
 
-	rec := srv.Recorder()
-	meanMem, maxMem := srv.CompileMemProfile()
-	res := &Result{
-		Options:           o,
-		Series:            rec.CompletionSeries(o.Warmup, o.Horizon),
-		Completed:         rec.CompletionsIn(o.Warmup, o.Horizon),
-		Errors:            rec.ErrorsIn(o.Warmup, o.Horizon),
-		ErrorsByKind:      rec.Errors(),
-		Load:              *loadStats,
-		CompileMemMean:    meanMem,
-		CompileMemMax:     maxMem,
-		BufferPoolHitRate: srv.BufferPool().HitRate(),
-		PlanCacheHitRate:  srv.PlanCache().HitRate(),
-		BestEffortPlans:   srv.Governor().BestEffortCount(),
-		BrownoutEntries:   srv.Governor().BrownoutEntries(),
-		BrownoutTicks:     srv.Governor().BrownoutTicks(),
-		CompileP50:        srv.CompileTimes().Quantile(0.5),
-		CompileP90:        srv.CompileTimes().Quantile(0.9),
-		ExecP50:           srv.ExecTimes().Quantile(0.5),
-		SimEvents:         sched.Events(),
-		Report:            srv.Report(),
-	}
-	poolTr, compTr, execTr, activeTr := srv.Traces()
-	res.AvgPoolBytes = traceWindowAvg(poolTr, o.Warmup, o.Horizon)
-	res.AvgCompileBytes = traceWindowAvg(compTr, o.Warmup, o.Horizon)
-	res.AvgExecBytes = traceWindowAvg(execTr, o.Warmup, o.Horizon)
-	res.AvgActiveCompiles = float64(traceWindowAvg(activeTr, o.Warmup, o.Horizon))
-	res.AvgOvercommitRatio = float64(traceWindowAvg(srv.OvercommitTrace(), o.Warmup, o.Horizon)) / 1000
-	res.PageStealBytes = srv.PageStealBytes()
-	if chain := srv.Governor().Chain(); chain != nil {
-		res.GatewayTimeouts = chain.Timeouts()
-	}
+	res := aggregate(o, nodes, router, loadStats)
+	res.SimEvents = sched.Events()
 	if faultStats != nil {
 		res.Fault = faultStats
-		measureRecovery(res, rec.CompletionSeries(0, o.Horizon), rec.SliceDur(), o)
+		series := make([][]metrics.Point, len(nodes))
+		for i, srv := range nodes {
+			series[i] = srv.Recorder().CompletionSeries(0, o.Horizon)
+		}
+		measureRecovery(res, metrics.SumSeries(series...), nodes[0].Recorder().SliceDur(), o)
 	}
 	return res, nil
-}
-
-// heavyFor resolves the generator's compile-storm query source: the
-// dedicated heavy-template draw when the generator has one, the plain
-// draw otherwise.
-func heavyFor(gen workload.Generator) func(*rand.Rand) string {
-	if hg, ok := gen.(interface {
-		NextHeavy(*rand.Rand) string
-	}); ok {
-		return hg.NextHeavy
-	}
-	return gen.Next
-}
-
-// surfaceFor wires one server's fault-plane hooks. Storm queries go to
-// the server directly (not through a router): the injection targets
-// that node.
-func surfaceFor(srv *engine.Server, heavy func(*rand.Rand) string, stormRNG *rand.Rand) fault.Surface {
-	return fault.Surface{
-		SetDiskStall: srv.SetDiskFault,
-		Leak:         srv.LeakBallast,
-		DropLeak:     srv.DropBallast,
-		Crash:        srv.Crash,
-		Restart:      srv.Restart,
-		StormQuery: func(t *vtime.Task) error {
-			return srv.Submit(t, heavy(stormRNG))
-		},
-	}
 }
 
 // measureRecovery computes the graceful-degradation metric: pre-fault
 // throughput as the mean over full slices before the first injection
 // (slice 0 excluded — it is ramp-up), then the first slice at or after
 // the last clear whose completions are back within 10% of that mean.
-// The series is the run's full completion series (cluster runs pass
-// the node sum).
+// The series is the run's full completion series, summed over nodes.
 func measureRecovery(res *Result, series []metrics.Point, sliceDur time.Duration, o Options) {
 	onset, clear := o.Fault.FirstOnset(), o.Fault.LastClear()
 	var sum, n int64

@@ -57,66 +57,41 @@ type Scenario struct {
 	// run (shared read-only across sweep runs of the scenario).
 	Fault *fault.Plan
 
-	// Nodes runs the experiment as a cluster of that many independent
-	// engine instances behind a deterministic router (0 and 1 both mean
-	// the classic single server).
+	// Nodes is how many independent engine instances run behind a
+	// deterministic router; 0 means 1, the paper's single server.
 	Nodes int
-	// Router is the cluster routing policy (zero value: round-robin).
-	// Ignored when Nodes <= 1.
+	// Router is the routing policy (zero value: round-robin). With one
+	// node every policy routes everything to it.
 	Router cluster.Policy
 	// Health, when non-nil, turns on health-aware node exclusion in the
-	// cluster router (shared read-only across sweep runs). Cluster
-	// scenarios only.
+	// cluster router (shared read-only across sweep runs). Requires
+	// Nodes > 1.
 	Health *cluster.HealthConfig
 	// Breaker, when non-nil, arms per-node circuit breakers in the
-	// cluster router (shared read-only across sweep runs). Cluster
-	// scenarios only.
+	// cluster router (shared read-only across sweep runs). Requires
+	// Nodes > 1.
 	Breaker *cluster.BreakerConfig
 	// FailoverHops bounds router-level failover resubmission on crashed
-	// responses (0 disables it). Cluster scenarios only.
+	// responses (0 disables it). Requires Nodes > 1.
 	FailoverHops int
 }
 
 // Validate reports whether the scenario describes a runnable experiment.
+// Scale and the window are checked here because the harness would
+// replace their zero values with defaults; every other check is the
+// harness's own Options.Validate.
 func (s Scenario) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: missing name")
 	}
-	if s.Clients <= 0 {
-		return fmt.Errorf("scenario %s: clients = %d", s.Name, s.Clients)
-	}
 	if s.Scale <= 0 {
 		return fmt.Errorf("scenario %s: scale = %g", s.Name, s.Scale)
-	}
-	if !s.Workload.Valid() {
-		return fmt.Errorf("scenario %s: unknown workload %q", s.Name, string(s.Workload))
 	}
 	if s.Horizon <= 0 || s.Warmup < 0 || s.Warmup >= s.Horizon {
 		return fmt.Errorf("scenario %s: window [%v, %v)", s.Name, s.Warmup, s.Horizon)
 	}
-	if s.Nodes < 0 {
-		return fmt.Errorf("scenario %s: nodes = %d", s.Name, s.Nodes)
-	}
-	if s.Nodes > 1 && !s.Router.Valid() {
-		return fmt.Errorf("scenario %s: unknown router policy %q", s.Name, string(s.Router))
-	}
-	if s.Nodes <= 1 && (s.Health != nil || s.Breaker != nil || s.FailoverHops != 0) {
-		return fmt.Errorf("scenario %s: router health/breaker/failover settings require a cluster (nodes = %d)", s.Name, s.Nodes)
-	}
-	if s.FailoverHops < 0 {
-		return fmt.Errorf("scenario %s: negative failover hops %d", s.Name, s.FailoverHops)
-	}
-	if s.Fault != nil {
-		if err := s.Fault.Validate(); err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		nodes := s.Nodes
-		if nodes < 1 {
-			nodes = 1
-		}
-		if mx := s.Fault.MaxNode(); mx >= nodes {
-			return fmt.Errorf("scenario %s: fault plan targets node %d of a %d-node run", s.Name, mx, nodes)
-		}
+	if err := s.Options().Validate(); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	return nil
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"compilegate/internal/cluster"
 	"compilegate/internal/engine"
+	"compilegate/internal/fault"
 	"compilegate/internal/harness"
 	"compilegate/internal/vtime"
 )
@@ -58,6 +60,19 @@ func TestValidateRejectsBrokenScenarios(t *testing.T) {
 		"no-scale":        func(s *Scenario) { s.Scale = 0 },
 		"bad-workload":    func(s *Scenario) { s.Workload = "tpcds" },
 		"warmup>=horizon": func(s *Scenario) { s.Warmup = s.Horizon },
+		"bad-router":      func(s *Scenario) { s.Router = "bogus" },
+		"health-1-node":   func(s *Scenario) { s.Health = &cluster.HealthConfig{Enabled: true} },
+		"negative-hops":   func(s *Scenario) { s.FailoverHops = -1 },
+		"fault-off-fleet": func(s *Scenario) {
+			s.Fault = &fault.Plan{Injections: []fault.Injection{
+				{Kind: fault.CrashRestart, Node: 1, At: time.Minute, Duration: time.Minute},
+			}}
+		},
+		"fault-past-horizon": func(s *Scenario) {
+			s.Fault = &fault.Plan{Injections: []fault.Injection{
+				{Kind: fault.CrashRestart, At: s.Horizon - time.Minute, Duration: 2 * time.Minute},
+			}}
+		},
 	}
 	for name, breakIt := range cases {
 		s := good

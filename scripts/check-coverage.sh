@@ -2,12 +2,14 @@
 # Coverage floors for the packages the simulation's correctness hangs
 # on: the staged compile-memory model (engine/mem), the deterministic
 # event core (vtime), the cluster router with its health/breaker
-# control loop, and the replication/claims machinery (scenario).
+# control loop, the replication/claims machinery (scenario), and the
+# run path every experiment goes through (harness).
 # Floors sit a few points below the measured coverage at the time they
 # were set (engine 83.3, mem 93.2, scenario 86.9, vtime 95.0, fault
 # 100.0, cluster 94.5 — the last measured after the breaker and health
-# planes landed), so they trip on real regressions, not on refactoring
-# noise.
+# planes landed — harness 91.9, measured once single-server runs went
+# through the cluster path), so they trip on real regressions, not on
+# refactoring noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +17,7 @@ declare -A floors=(
   ["./internal/cluster"]=90
   ["./internal/engine"]=79
   ["./internal/fault"]=85
+  ["./internal/harness"]=88
   ["./internal/mem"]=82
   ["./internal/scenario"]=80
   ["./internal/vtime"]=90
