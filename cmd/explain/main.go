@@ -14,11 +14,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"compilegate"
 
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/optimizer"
 	"compilegate/internal/sqlparser"
 	"compilegate/internal/stats"
@@ -49,7 +49,7 @@ func main() {
 	var sql string
 	switch {
 	case *sample:
-		sql = s.Workload.Generator().Next(rand.New(rand.NewSource(s.Seed)))
+		sql = s.Workload.Generator().Next(lazyrand.New(s.Seed))
 	case flag.NArg() == 1:
 		sql = flag.Arg(0)
 	default:

@@ -26,6 +26,7 @@ import (
 	"compilegate/internal/executor"
 	"compilegate/internal/freelist"
 	"compilegate/internal/gateway"
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/mem"
 	"compilegate/internal/metrics"
 	"compilegate/internal/optimizer"
@@ -723,15 +724,18 @@ type queryInfo struct {
 // pure cache, so clearing it only costs re-derivation.
 const queryMemoCap = 8192
 
-// getRNG returns a pooled execution-locality source reseeded in place —
-// reseeding reproduces exactly the stream rand.New(rand.NewSource(seed))
-// would, without the per-query allocation.
+// getRNG returns a pooled execution-locality source reseeded in place.
+// Every statement reseeds, and a statement draws only a few values, so
+// the cost that matters is the seed itself: math/rand's source fills
+// 607 state words per seed. A lazyrand source yields the same stream as
+// rand.New(rand.NewSource(seed)) and fills a word only when a draw
+// first reads it.
 func (s *Server) getRNG(seed int64) *rand.Rand {
 	if r := s.rngs.Get(); r != nil {
 		r.Seed(seed)
 		return r
 	}
-	return rand.New(rand.NewSource(seed))
+	return lazyrand.New(seed)
 }
 
 func (s *Server) putRNG(r *rand.Rand) {

@@ -307,7 +307,16 @@ type Executor struct {
 	executed       uint64
 	pageStallTotal time.Duration
 
-	execs freelist.List[execOp] // recycled continuation ops (single scheduler)
+	execs   freelist.List[execOp]     // recycled continuation ops (single scheduler)
+	results freelist.List[execResult] // recycled Execute outcome cells (single scheduler)
+}
+
+// execResult is the outcome cell Execute hands ExecuteThen. The pooled
+// execOp keeps pointers into it, so a cell on Execute's stack would
+// escape to the heap on every query; recycled cells do not.
+type execResult struct {
+	st  Stats
+	err error
 }
 
 // New creates an executor.
@@ -532,8 +541,13 @@ func (e *Executor) ExecuteThen(t *vtime.Task, p *plan.Plan, rng *rand.Rand, st *
 // Execute runs plan p on behalf of task t. rng drives scan locality (seed
 // it per query for deterministic-but-varied access patterns).
 func (e *Executor) Execute(t *vtime.Task, p *plan.Plan, rng *rand.Rand) (Stats, error) {
-	var st Stats
-	var err error
-	t.Await(func(k vtime.Step) { e.ExecuteThen(t, p, rng, &st, &err, k) })
+	r := e.results.Get()
+	if r == nil {
+		r = new(execResult)
+	}
+	t.Await(func(k vtime.Step) { e.ExecuteThen(t, p, rng, &r.st, &r.err, k) })
+	st, err := r.st, r.err
+	r.err = nil
+	e.results.Put(r)
 	return st, err
 }

@@ -8,6 +8,7 @@ import (
 
 	"compilegate/internal/bufferpool"
 	"compilegate/internal/catalog"
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/mem"
 	"compilegate/internal/optimizer"
 	"compilegate/internal/plan"
@@ -53,7 +54,7 @@ func newEnvCfg(grantLimit int64, grantTimeout time.Duration, mutate func(*Config
 	}
 }
 
-func (e *env) plan(t *testing.T, q *plan.Query) *plan.Plan {
+func (e *env) plan(t testing.TB, q *plan.Query) *plan.Plan {
 	t.Helper()
 	p, err := e.opt.Optimize(q, optimizer.Hooks{})
 	if err != nil {
@@ -316,5 +317,30 @@ func TestDeterministicExecution(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("nondeterministic execution: %+v vs %+v", a, b)
+	}
+}
+
+// BenchmarkExecuteOLTP measures the executor's per-statement cost on an
+// OLTP-sized plan: one task executes a single-table scan b.N times,
+// reseeding one pooled execution RNG per statement as the engine does.
+// allocs/op is the figure to watch: the steady state allocates nothing.
+func BenchmarkExecuteOLTP(b *testing.B) {
+	e := newEnv(mem.GiB, time.Minute)
+	p := e.plan(b, &plan.Query{Tables: []plan.TableTerm{{Name: "dim_store"}}})
+	rng := lazyrand.New(0)
+	s := vtime.NewScheduler()
+	b.ReportAllocs()
+	s.Go("q", func(tk *vtime.Task) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rng.Seed(int64(i))
+			if _, err := e.exec.Execute(tk, p, rng); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

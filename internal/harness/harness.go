@@ -15,6 +15,7 @@ import (
 	"compilegate/internal/cluster"
 	"compilegate/internal/engine"
 	"compilegate/internal/fault"
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/metrics"
 	"compilegate/internal/vtime"
 	"compilegate/internal/workload"
@@ -371,7 +372,7 @@ func RunOn(sched *vtime.Scheduler, o Options) (*Result, error) {
 		if hg, ok := gen.(interface{ NextHeavy(*rand.Rand) string }); ok {
 			heavy = hg.NextHeavy
 		}
-		stormRNG := rand.New(rand.NewSource(o.Fault.Seed))
+		stormRNG := lazyrand.New(o.Fault.Seed)
 		surfaces := make([]fault.Surface, len(nodes))
 		for i, srv := range nodes {
 			surfaces[i] = fault.Surface{

@@ -3,8 +3,9 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
+
+	"compilegate/internal/lazyrand"
 )
 
 // This file is the replication stats core: summary statistics and
@@ -105,7 +106,7 @@ func BootstrapCI(xs []float64, confidence float64, seed int64) Interval {
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	means := make([]float64, bootstrapResamples)
 	for b := range means {
 		var sum float64

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"compilegate/internal/errclass"
+	"compilegate/internal/lazyrand"
 	"compilegate/internal/vtime"
 )
 
@@ -125,7 +126,7 @@ func Run(sched *vtime.Scheduler, sub Submitter, gen Generator, cfg LoadConfig, o
 	for i := 0; i < cfg.Clients; i++ {
 		i := i
 		sched.Go("client", func(t *vtime.Task) {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+			rng := lazyrand.New(cfg.Seed + int64(i)*7919)
 			budget := cfg.RetryBudget
 			// Stagger arrival so clients don't align on the same instant.
 			t.Sleep(time.Duration(i) * 250 * time.Millisecond)

@@ -2,14 +2,15 @@
 # Coverage floors for the packages the simulation's correctness hangs
 # on: the staged compile-memory model (engine/mem), the deterministic
 # event core (vtime), the cluster router with its health/breaker
-# control loop, the replication/claims machinery (scenario), and the
-# run path every experiment goes through (harness).
+# control loop, the replication/claims machinery (scenario), the run
+# path every experiment goes through (harness), and the lazily seeded
+# source every simulated random stream comes from (lazyrand).
 # Floors sit a few points below the measured coverage at the time they
 # were set (engine 83.3, mem 93.2, scenario 86.9, vtime 95.0, fault
 # 100.0, cluster 94.5 — the last measured after the breaker and health
 # planes landed — harness 91.9, measured once single-server runs went
-# through the cluster path), so they trip on real regressions, not on
-# refactoring noise.
+# through the cluster path, lazyrand 100.0), so they trip on real
+# regressions, not on refactoring noise.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,7 @@ declare -A floors=(
   ["./internal/engine"]=79
   ["./internal/fault"]=85
   ["./internal/harness"]=88
+  ["./internal/lazyrand"]=95
   ["./internal/mem"]=82
   ["./internal/scenario"]=80
   ["./internal/vtime"]=90
